@@ -45,8 +45,9 @@ class Catalog {
   /// Returns nullptr when absent.
   Table* GetTable(const std::string& name);
 
-  /// Drops a table definition (its pages are not reclaimed; the engine has
-  /// no free-space map, matching its append-only disk manager).
+  /// Drops a table and returns its pages to the free list (Table::Free).
+  /// The entry is erased even when freeing fails; the error (an I/O fault
+  /// part-way through the walk) is returned and the rest of its pages leak.
   Status DropTable(const std::string& name);
 
   /// Catalog-owned index DDL: delegates to the table and bumps the catalog

@@ -314,10 +314,9 @@ Status Table::DropSecondaryIndex(const std::string& name) {
       const std::string& key = pass == 0 ? indexes_[i].name
                                          : indexes_[i].column;
       if (key == name) {
-        // The tree's pages are abandoned, not reclaimed — same policy as
-        // DropTable (the engine's disk manager is append-only).
+        Status freed = indexes_[i].tree.Free();
         indexes_.erase(indexes_.begin() + static_cast<ptrdiff_t>(i));
-        return Status::OK();
+        return freed;
       }
     }
   }
@@ -572,6 +571,10 @@ bool Table::Iterator::Next(Tuple* tuple, RowRef* ref) {
 Status Table::Truncate() {
   num_rows_ = 0;
   next_tie_ = 1;
+  // Free first: the new roots then come straight back off the free list.
+  // A failed free leaks the rest of the old pages, but the table is still
+  // rebuilt empty before the error is reported.
+  Status freed = Free();
   if (options_.storage == TableStorage::kClustered) {
     RELGRAPH_RETURN_IF_ERROR(BTree::Create(
         pool_, static_cast<uint16_t>(fixed_width_), &clustered_));
@@ -581,7 +584,17 @@ Status Table::Truncate() {
   for (auto& idx : indexes_) {
     RELGRAPH_RETURN_IF_ERROR(BTree::Create(pool_, 8, &idx.tree));
   }
-  return Status::OK();
+  return freed;
+}
+
+Status Table::Free() {
+  Status st = options_.storage == TableStorage::kClustered ? clustered_.Free()
+                                                           : heap_.Free();
+  for (auto& idx : indexes_) {
+    Status idx_st = idx.tree.Free();
+    if (st.ok()) st = idx_st;
+  }
+  return st;
 }
 
 }  // namespace relgraph

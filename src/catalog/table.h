@@ -166,8 +166,14 @@ class Table {
                    Iterator* out);
 
   /// Removes every row but keeps schema and index definitions (the
-  /// algorithms reset TVisited between queries with this).
+  /// algorithms reset TVisited between queries with this). The old pages
+  /// are freed before the new roots are created, so a reset reuses them.
   Status Truncate();
+
+  /// Returns every page of the table — its heap or clustered tree and each
+  /// secondary index — to the pool's free list. The table must not be used
+  /// afterwards; Catalog::DropTable calls this before erasing it.
+  Status Free();
 
   /// Serialized width of this table's rows, if fixed (no VARCHAR columns).
   static size_t FixedWidth(const Schema& schema);

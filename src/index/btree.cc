@@ -141,6 +141,7 @@ Status BTree::Create(BufferPool* pool, uint16_t payload_size, BTree* out) {
   out->root_ = id;
   out->payload_size_ = payload_size;
   out->num_entries_ = 0;
+  out->height_ = 1;
   return Status::OK();
 }
 
@@ -274,6 +275,7 @@ Status BTree::InsertIntoParent(std::vector<Descent>* path, BtKey sep,
     WriteChild(InternalEntry(data, 1), new_child);
     RELGRAPH_RETURN_IF_ERROR(pool_->UnpinPage(new_root_id, /*is_dirty=*/true));
     root_ = new_root_id;
+    if (height_ > 0) height_++;
     return Status::OK();
   }
 
@@ -497,6 +499,35 @@ int BTree::Height() const {
     current = ReadChild(InternalEntry(guard.data(), 0));
     height++;
   }
+}
+
+Status BTree::Free() {
+  // Balanced tree: every leaf sits at depth height - 1, so the children of
+  // the nodes one level above are freed without being fetched.
+  const int height = height_ > 0 ? height_ : Height();
+  std::vector<page_id_t> level{root_};
+  for (int depth = 0; depth + 1 < height; depth++) {
+    std::vector<page_id_t> children;
+    for (page_id_t id : level) {
+      {
+        PageGuard guard(pool_, id);
+        RELGRAPH_RETURN_IF_ERROR(guard.status());
+        const char* data = guard.data();
+        for (uint16_t i = 0; i < Header(data)->count; i++) {
+          children.push_back(ReadChild(InternalEntry(data, i)));
+        }
+      }
+      RELGRAPH_RETURN_IF_ERROR(pool_->DeletePage(id));
+    }
+    level = std::move(children);
+  }
+  for (page_id_t id : level) {
+    RELGRAPH_RETURN_IF_ERROR(pool_->DeletePage(id));
+  }
+  root_ = kInvalidPageId;
+  num_entries_ = 0;
+  height_ = 0;
+  return Status::OK();
 }
 
 BTree BTree::Open(BufferPool* pool, page_id_t root, uint16_t payload_size,

@@ -40,7 +40,8 @@ struct BtKey {
 ///
 /// Design notes: single-writer (no latching; the engine is single-threaded
 /// per Database), deletes do not rebalance (underflowed nodes are tolerated;
-/// the workloads here delete rarely and drop whole tables instead).
+/// the workloads here delete rarely and drop whole tables instead). A
+/// dropped or truncated tree returns its pages through Free().
 class BTree {
  public:
   BTree() = default;
@@ -98,6 +99,11 @@ class BTree {
   /// Tree height (1 = root is a leaf). Diagnostic.
   int Height() const;
 
+  /// Returns every node to the pool's free list. Child ids are read from
+  /// internal nodes only, so no leaf is fetched (evicted leaves stay on
+  /// disk). The tree is unusable afterwards; Create() a new one.
+  Status Free();
+
   /// Verifies ordering and separator invariants; used by property tests.
   Status CheckIntegrity() const;
 
@@ -118,6 +124,8 @@ class BTree {
   page_id_t root_ = kInvalidPageId;
   uint16_t payload_size_ = 0;
   int64_t num_entries_ = 0;
+  /// Known height (grows on root splits); 0 when unknown (Open()).
+  int height_ = 0;
 };
 
 /// Encodes a RID as an 8-byte B+-tree payload.

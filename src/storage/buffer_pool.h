@@ -75,6 +75,12 @@ class BufferPool {
   /// Allocates a brand-new page on disk and pins it.
   Status NewPage(page_id_t* page_id, Page** out);
 
+  /// Discards page `page_id` and returns it to the disk manager's free list.
+  /// A resident frame is dropped WITHOUT write-back (its contents are dead)
+  /// and goes back on the pool's free list. InvalidArgument when the page
+  /// is pinned — nothing is freed then.
+  Status DeletePage(page_id_t page_id);
+
   /// Drops one pin; marks the frame dirty if the caller modified it.
   Status UnpinPage(page_id_t page_id, bool is_dirty);
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -186,10 +187,23 @@ DiskManager::~DiskManager() {
 
 page_id_t DiskManager::AllocatePage() {
   std::lock_guard<std::mutex> lock(mutex_);
-  page_id_t id = next_page_id_.fetch_add(1);
-  stats_.allocations++;
+  const bool recycled = !free_pages_.empty();
+  page_id_t id;
+  if (recycled) {
+    id = free_pages_.back();
+    free_pages_.pop_back();
+    is_free_[id] = false;
+    stats_.recycled++;
+  } else {
+    id = next_page_id_.fetch_add(1);
+    stats_.allocations++;
+  }
   if (file_ == nullptr) {
-    mem_pages_.emplace_back(kPageSize, 0);
+    if (recycled) {
+      std::fill(mem_pages_[id].begin(), mem_pages_[id].end(), 0);
+    } else {
+      mem_pages_.emplace_back(kPageSize, 0);
+    }
   } else if (!crashed_) {
     char physical[kPhysicalPageSize] = {0};
     PutU32(physical + kPageSize, static_cast<uint32_t>(id));
@@ -198,6 +212,24 @@ page_id_t DiskManager::AllocatePage() {
     std::fwrite(physical, 1, kPhysicalPageSize, file_);
   }
   return id;
+}
+
+Status DiskManager::DeallocatePage(page_id_t page_id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (page_id < 0 || page_id >= next_page_id_.load()) {
+    return Status::OutOfRange("free of unallocated page " +
+                              std::to_string(page_id));
+  }
+  if (static_cast<size_t>(page_id) >= is_free_.size()) {
+    is_free_.resize(static_cast<size_t>(next_page_id_.load()), false);
+  }
+  if (is_free_[page_id]) {
+    return Status::InvalidArgument("double free of page " +
+                                   std::to_string(page_id));
+  }
+  is_free_[page_id] = true;
+  free_pages_.push_back(page_id);
+  return Status::OK();
 }
 
 Status DiskManager::ReadPage(page_id_t page_id, char* out) {

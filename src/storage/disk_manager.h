@@ -18,7 +18,10 @@ namespace relgraph {
 struct DiskStats {
   int64_t reads = 0;
   int64_t writes = 0;
+  /// Fresh pages appended to the store (num_pages() grows by one each).
   int64_t allocations = 0;
+  /// Allocations served from the free list instead (num_pages() unchanged).
+  int64_t recycled = 0;
 };
 
 /// How a file-backed DiskManager acquires its file. See the class comment
@@ -64,6 +67,14 @@ enum class OpenMode {
 /// documents). Durable files are closed without deletion; only the scratch
 /// constructor unlinks its file.
 ///
+/// Page reclamation: DeallocatePage() pushes a page onto an in-memory free
+/// list and AllocatePage() pops from it before appending, so tables that are
+/// truncated or dropped hand their pages to the next allocation instead of
+/// growing the store. The free list is NOT persisted: after a reopen the
+/// pages freed before the close are unreachable (nothing references them)
+/// but still CRC-valid, and the store never reuses them — the same state an
+/// append-only store without reclamation would leave.
+///
 /// `simulated_io_latency_us` adds a busy-wait per physical read to restore
 /// the disk-bound regime of the paper's 2003-era testbed: the host OS page
 /// cache would otherwise absorb most misses and flatten the buffer-size
@@ -104,8 +115,15 @@ class DiskManager {
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 
-  /// Allocates a fresh zero-filled page and returns its id.
+  /// Returns a zero-filled page: the most recently freed one when the free
+  /// list is non-empty, otherwise a fresh page appended to the store.
   page_id_t AllocatePage();
+
+  /// Puts `page_id` on the free list for a later AllocatePage(). The caller
+  /// must hold no cached image of the page (BufferPool::DeletePage drops
+  /// the frame first). OutOfRange for an unallocated page, InvalidArgument
+  /// for a page that is already free.
+  Status DeallocatePage(page_id_t page_id);
 
   /// Reads page `page_id` into `out` (kPageSize bytes). File-backed reads
   /// verify the stored CRC and page-id echo: a mismatch is
@@ -122,6 +140,8 @@ class DiskManager {
   Status Sync();
 
   int32_t num_pages() const { return next_page_id_.load(); }
+  /// Pages currently on the free list.
+  size_t num_free_pages() const { return free_pages_.size(); }
   bool in_memory() const { return file_ == nullptr; }
   const std::string& path() const { return path_; }
 
@@ -193,6 +213,8 @@ class DiskManager {
   std::string path_;
   bool delete_on_close_ = false;
   std::vector<std::vector<char>> mem_pages_;
+  std::vector<page_id_t> free_pages_;  // LIFO: reuse the hottest page first
+  std::vector<bool> is_free_;          // indexed by page id; grows on demand
   std::atomic<page_id_t> next_page_id_{0};
   DiskStats stats_;
   int64_t simulated_io_latency_us_ = 0;

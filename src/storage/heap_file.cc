@@ -88,6 +88,23 @@ Status HeapFile::Delete(const Rid& rid) {
   return Status::OK();
 }
 
+Status HeapFile::Free() {
+  page_id_t id = first_page_;
+  while (id != kInvalidPageId) {
+    page_id_t next;
+    {
+      PageGuard guard(pool_, id);
+      RELGRAPH_RETURN_IF_ERROR(guard.status());
+      next = SlottedPage(guard.data()).next_page_id();
+    }
+    RELGRAPH_RETURN_IF_ERROR(pool_->DeletePage(id));
+    first_page_ = next;
+    id = next;
+  }
+  last_page_ = kInvalidPageId;
+  return Status::OK();
+}
+
 Status HeapFile::CheckConsistency(int64_t* live_records) const {
   if (live_records != nullptr) *live_records = 0;
   std::unordered_set<page_id_t> visited;

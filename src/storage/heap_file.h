@@ -37,6 +37,11 @@ class HeapFile {
   /// Tombstones the record at `rid`.
   Status Delete(const Rid& rid);
 
+  /// Returns every page of the chain to the pool's free list. Each page is
+  /// read once for its next pointer. The file is empty afterwards (no
+  /// pages); Create() a new one to store rows again.
+  Status Free();
+
   page_id_t first_page() const { return first_page_; }
   page_id_t last_page() const { return last_page_; }
 

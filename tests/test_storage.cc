@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/index/btree.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_manager.h"
 #include "src/storage/heap_file.h"
@@ -506,6 +507,187 @@ TEST(HeapConsistency, SingleByteFlipFuzzNeverCrashesOrWedges) {
   Status st = probe.CheckConsistency(&live);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(live, want_live);
+}
+
+// ------------------------------------------------------ Page reclamation
+
+/// Writes a recognizable non-zero image to `page` through the disk manager.
+void Scribble(DiskManager* dm, page_id_t page) {
+  char w[kPageSize];
+  std::memset(w, 0xAB, kPageSize);
+  ASSERT_TRUE(dm->WritePage(page, w).ok());
+}
+
+void ExpectZeroFilled(DiskManager* dm, page_id_t page) {
+  char r[kPageSize];
+  std::memset(r, 0x5A, kPageSize);
+  ASSERT_TRUE(dm->ReadPage(page, r).ok());
+  for (size_t i = 0; i < kPageSize; i++) {
+    ASSERT_EQ(r[i], 0) << "page " << page << " byte " << i;
+  }
+}
+
+void ExpectRecycledPagesZeroFilled(DiskManager* dm) {
+  for (int i = 0; i < 3; i++) dm->AllocatePage();
+  Scribble(dm, 1);
+  ASSERT_TRUE(dm->DeallocatePage(1).ok());
+  EXPECT_EQ(dm->num_free_pages(), 1u);
+  // The free list is served before the store grows.
+  EXPECT_EQ(dm->AllocatePage(), 1);
+  EXPECT_EQ(dm->num_pages(), 3);
+  EXPECT_EQ(dm->num_free_pages(), 0u);
+  // `allocations` counts fresh pages only; reuses are counted apart.
+  EXPECT_EQ(dm->stats().allocations, 3);
+  EXPECT_EQ(dm->stats().recycled, 1);
+  ExpectZeroFilled(dm, 1);
+  EXPECT_EQ(dm->AllocatePage(), 3);  // list empty again: append
+  EXPECT_EQ(dm->stats().allocations, 4);
+}
+
+TEST(PageReclaim, RecycledPageIsZeroFilledInMemory) {
+  DiskManager dm;
+  ExpectRecycledPagesZeroFilled(&dm);
+}
+
+TEST(PageReclaim, RecycledPageIsZeroFilledFileBacked) {
+  DiskManager dm(ScratchPath("reclaim_zero.rgpf"));
+  ASSERT_FALSE(dm.in_memory());
+  ExpectRecycledPagesZeroFilled(&dm);
+}
+
+TEST(PageReclaim, FreeListIsLastInFirstOut) {
+  DiskManager dm;
+  for (int i = 0; i < 4; i++) dm.AllocatePage();
+  ASSERT_TRUE(dm.DeallocatePage(0).ok());
+  ASSERT_TRUE(dm.DeallocatePage(2).ok());
+  EXPECT_EQ(dm.AllocatePage(), 2);
+  EXPECT_EQ(dm.AllocatePage(), 0);
+}
+
+TEST(PageReclaim, DeallocateRejectsUnallocatedAndDoubleFree) {
+  DiskManager dm;
+  dm.AllocatePage();
+  EXPECT_EQ(dm.DeallocatePage(1).code(), Status::Code::kOutOfRange);
+  EXPECT_EQ(dm.DeallocatePage(-1).code(), Status::Code::kOutOfRange);
+  ASSERT_TRUE(dm.DeallocatePage(0).ok());
+  EXPECT_TRUE(dm.DeallocatePage(0).IsInvalidArgument());
+  EXPECT_EQ(dm.num_free_pages(), 1u);
+}
+
+TEST(PageReclaim, DeletePinnedPageIsTypedErrorAndFreesNothing) {
+  DiskManager dm;
+  BufferPool pool(4, &dm);
+  page_id_t id;
+  Page* page;
+  ASSERT_TRUE(pool.NewPage(&id, &page).ok());
+  Status st = pool.DeletePage(id);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(dm.num_free_pages(), 0u);
+  // Still resident and usable.
+  Page* again;
+  ASSERT_TRUE(pool.FetchPage(id, &again).ok());
+  EXPECT_EQ(again, page);
+  ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  ASSERT_TRUE(pool.UnpinPage(id, true).ok());
+  ASSERT_TRUE(pool.DeletePage(id).ok());
+  EXPECT_EQ(dm.num_free_pages(), 1u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+TEST(PageReclaim, DeletedDirtyPageIsNeverWrittenBack) {
+  DiskManager dm;
+  BufferPool pool(4, &dm);
+  // Eight clean pages to cycle through the pool and force evictions.
+  for (int i = 0; i < 8; i++) dm.AllocatePage();
+  page_id_t id;
+  Page* page;
+  ASSERT_TRUE(pool.NewPage(&id, &page).ok());
+  std::memset(page->data(), 0xCD, kPageSize);
+  ASSERT_TRUE(pool.UnpinPage(id, /*is_dirty=*/true).ok());
+
+  const int64_t writebacks = pool.stats().dirty_writebacks;
+  const int64_t writes = dm.stats().writes;
+  ASSERT_TRUE(pool.DeletePage(id).ok());
+  for (page_id_t p = 0; p < 8; p++) {
+    PageGuard guard(&pool, p);
+    ASSERT_TRUE(guard.ok());
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(pool.stats().dirty_writebacks, writebacks);
+  EXPECT_EQ(dm.stats().writes, writes);
+
+  // The frame went back to the pool and the page comes back zero-filled
+  // through it: the 0xCD image never reached the disk.
+  page_id_t reused;
+  ASSERT_TRUE(pool.NewPage(&reused, &page).ok());
+  EXPECT_EQ(reused, id);
+  ASSERT_TRUE(pool.UnpinPage(reused, false).ok());
+  ExpectZeroFilled(&dm, id);
+}
+
+TEST(PageReclaim, HeapFreeReturnsEveryPageAndRefillReusesThem) {
+  DiskManager dm;
+  BufferPool pool(16, &dm);  // smaller than the heap: Free faults pages in
+  HeapFile heap = BuildHeap(&pool, 500);
+  const int32_t pages = dm.num_pages();
+  ASSERT_GT(pages, 16);
+  ASSERT_TRUE(heap.Free().ok());
+  EXPECT_EQ(dm.num_free_pages(), static_cast<size_t>(pages));
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+
+  int64_t live = -1;
+  HeapFile refilled = BuildHeap(&pool, 500);
+  EXPECT_EQ(dm.num_pages(), pages);
+  EXPECT_EQ(dm.num_free_pages(), 0u);
+  Status st = refilled.CheckConsistency(&live);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(live, 500);
+}
+
+/// Inserts `n` entries with 8-byte payloads into a fresh tree.
+BTree BuildTree(BufferPool* pool, int n) {
+  BTree tree;
+  EXPECT_TRUE(BTree::Create(pool, 8, &tree).ok());
+  for (int i = 0; i < n; i++) {
+    EXPECT_TRUE(tree.Insert(BtKey{i, 0}, std::string(8, 'p'), true).ok());
+  }
+  return tree;
+}
+
+TEST(PageReclaim, BTreeFreeFetchesOnlyInternalNodes) {
+  DiskManager dm;
+  BufferPool pool(64, &dm);
+  BTree tree = BuildTree(&pool, 1000);  // root + a few dozen leaves
+  ASSERT_EQ(tree.Height(), 2);
+  const int32_t pages = dm.num_pages();
+  pool.ResetStats();
+  ASSERT_TRUE(tree.Free().ok());
+  // Exactly one page request: the root. The leaves are freed unseen.
+  EXPECT_EQ(pool.stats().hits + pool.stats().misses, 1);
+  EXPECT_EQ(dm.num_free_pages(), static_cast<size_t>(pages));
+}
+
+TEST(PageReclaim, BTreeFreeAndRefillPassesIntegrity) {
+  DiskManager dm;
+  BufferPool pool(32, &dm);  // far smaller than the tree
+  BTree tree = BuildTree(&pool, 40000);
+  ASSERT_EQ(tree.Height(), 3);
+  const int32_t pages = dm.num_pages();
+  const int64_t reads = dm.stats().reads;
+  ASSERT_TRUE(tree.Free().ok());
+  // Only internal nodes may be read back; there are far fewer of those.
+  EXPECT_LT((dm.stats().reads - reads) * 20, pages);
+  EXPECT_EQ(dm.num_free_pages(), static_cast<size_t>(pages));
+
+  BTree refilled = BuildTree(&pool, 40000);
+  EXPECT_EQ(dm.num_pages(), pages);
+  Status st = refilled.CheckIntegrity();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  // A reopened tree (height unknown) frees through the same path.
+  BTree reopened = BTree::Open(&pool, refilled.root(), 8, 40000);
+  ASSERT_TRUE(reopened.Free().ok());
+  EXPECT_EQ(dm.num_free_pages(), static_cast<size_t>(pages));
 }
 
 }  // namespace

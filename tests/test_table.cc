@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <tuple>
+
 #include "src/catalog/catalog.h"
+#include "src/graph/graph_store.h"
 
 namespace relgraph {
 namespace {
@@ -225,6 +229,128 @@ TEST(CatalogTest, CreateGetDrop) {
   ASSERT_TRUE(catalog.DropTable("edges").ok());
   EXPECT_EQ(catalog.GetTable("edges"), nullptr);
   EXPECT_TRUE(catalog.DropTable("edges").IsNotFound());
+}
+
+// ------------------------------------------------------ Page reclamation
+
+/// The table layouts behind the three index strategies: a bare heap, a
+/// heap with secondary B+-trees, and a clustered tree with a secondary.
+std::unique_ptr<Table> MakeStrategyTable(BufferPool* pool,
+                                         IndexStrategy strategy) {
+  TableOptions opts;
+  if (strategy == IndexStrategy::kCluIndex) {
+    opts.storage = TableStorage::kClustered;
+    opts.cluster_key = "fid";
+    opts.cluster_unique = true;
+  }
+  std::unique_ptr<Table> table;
+  EXPECT_TRUE(Table::Create(pool, "t", EdgeSchema(), opts, &table).ok());
+  if (strategy == IndexStrategy::kIndex) {
+    EXPECT_TRUE(table->CreateSecondaryIndex("fid", true).ok());
+  }
+  if (strategy != IndexStrategy::kNoIndex) {
+    EXPECT_TRUE(table->CreateSecondaryIndex("tid", false).ok());
+  }
+  return table;
+}
+
+// Enough rows for a two-level clustered tree and two-level secondaries.
+constexpr int kCycleRows = 400;
+
+void FillRows(Table* table) {
+  for (int i = 0; i < kCycleRows; i++) {
+    ASSERT_TRUE(table->Insert(Row(i, (i * 7) % 97, i)).ok());
+  }
+}
+
+class TableReclaimTest
+    : public ::testing::TestWithParam<std::tuple<IndexStrategy, bool>> {};
+
+// The per-query TVisited reset: refill and truncate, 500 times. The store
+// must stop growing after the first cycle, in memory and on file.
+TEST_P(TableReclaimTest, TruncateCyclesKeepThePageCountFlat) {
+  const auto& [strategy, file_backed] = GetParam();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("relgraph_reclaim_" + std::to_string(static_cast<int>(strategy)) +
+        ".rgpf"))
+          .string();
+  std::unique_ptr<DiskManager> dm = file_backed
+                                        ? std::make_unique<DiskManager>(path)
+                                        : std::make_unique<DiskManager>();
+  ASSERT_EQ(dm->in_memory(), !file_backed);
+  BufferPool pool(64, dm.get());  // smaller than one cycle's pages
+  std::unique_ptr<Table> table = MakeStrategyTable(&pool, strategy);
+
+  int32_t pages_after_first = 0;
+  for (int cycle = 0; cycle < 500; cycle++) {
+    FillRows(table.get());
+    ASSERT_TRUE(table->Truncate().ok()) << "cycle " << cycle;
+    if (cycle == 0) {
+      pages_after_first = dm->num_pages();
+      ASSERT_GT(dm->num_free_pages(), 0u);
+    } else {
+      ASSERT_EQ(dm->num_pages(), pages_after_first) << "cycle " << cycle;
+    }
+  }
+  EXPECT_GT(dm->stats().recycled, 0);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+
+  // Truncate-and-refill leaves valid structures behind.
+  FillRows(table.get());
+  Status st = table->CheckConsistency();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(table->num_rows(), kCycleRows);
+  if (strategy != IndexStrategy::kNoIndex) {
+    Tuple t;
+    ASSERT_TRUE(table->LookupUnique("fid", 123, &t, nullptr).ok());
+    EXPECT_EQ(t.value(2).AsInt(), 123);
+  }
+  EXPECT_EQ(dm->num_pages(), pages_after_first);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, TableReclaimTest,
+    ::testing::Combine(::testing::Values(IndexStrategy::kNoIndex,
+                                         IndexStrategy::kIndex,
+                                         IndexStrategy::kCluIndex),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(IndexStrategyName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_file" : "_memory");
+    });
+
+TEST_F(TableTest, DropSecondaryIndexReturnsItsPages) {
+  std::unique_ptr<Table> table =
+      MakeStrategyTable(&pool_, IndexStrategy::kIndex);
+  FillRows(table.get());
+  const int32_t pages = dm_.num_pages();
+  ASSERT_TRUE(table->DropSecondaryIndex("tid").ok());
+  EXPECT_GT(dm_.num_free_pages(), 1u);  // a multi-level tree's worth
+  // Rebuilding the same index consumes the freed pages first.
+  ASSERT_TRUE(table->CreateSecondaryIndex("tid", false).ok());
+  EXPECT_EQ(dm_.num_pages(), pages);
+  Status st = table->CheckConsistency();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(CatalogTest, DropTableReturnsItsPages) {
+  DiskManager dm;
+  BufferPool pool(64, &dm);
+  Catalog catalog(&pool);
+  int32_t pages = 0;
+  for (int round = 0; round < 20; round++) {
+    Table* t = nullptr;
+    ASSERT_TRUE(
+        catalog.CreateTable("work", EdgeSchema(), TableOptions{}, &t).ok());
+    ASSERT_TRUE(catalog.CreateSecondaryIndex(t, "fid", true).ok());
+    FillRows(t);
+    ASSERT_TRUE(catalog.DropTable("work").ok());
+    if (round == 0) pages = dm.num_pages();
+    ASSERT_EQ(dm.num_pages(), pages) << "round " << round;
+    // Every page the table ever held is free again.
+    ASSERT_EQ(dm.num_free_pages(), static_cast<size_t>(pages));
+  }
 }
 
 }  // namespace
